@@ -15,6 +15,8 @@ successive PRs can be compared without scraping test output.
 import gc
 import json
 import os
+import platform
+import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -186,14 +188,17 @@ class _PerEventPoisson(WorkloadSource):
             yield t, self.service.sample(gen)
 
 
-def _update_bench_json(section: str, payload: dict) -> None:
-    """Read-modify-write one section so the smoke tests compose in any order."""
+def _update_bench_json(section: str, payload: dict, *, merge: bool = False) -> None:
+    """Read-modify-write one section so the smoke tests compose in any order.
+
+    ``merge=True`` updates only *payload*'s keys, for arms that share a
+    section with another test."""
     data = {}
     if BENCH_JSON.exists():
         data = json.loads(BENCH_JSON.read_text())
     data["schema"] = 1
     data["cpu_count"] = os.cpu_count()
-    data[section] = payload
+    data[section] = {**data.get(section, {}), **payload} if merge else payload
     BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"\n[bench_smoke] {section} -> {BENCH_JSON}")
 
@@ -530,7 +535,105 @@ def test_smoke_session_batched():
             "scalar_s": round(scalar_s, 4),
             "speedup": round(speedup, 3),
             "results_identical": identical,
+            "provenance": _provenance(),
         },
+        merge=True,
+    )
+
+
+def _provenance() -> dict:
+    """Where a measurement came from: commit, core count, Python version."""
+
+    def git(*args: str) -> str | None:
+        try:
+            out = subprocess.run(
+                ["git", *args], cwd=BENCH_JSON.parent, capture_output=True,
+                text=True, timeout=10, check=True,
+            )
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return out.stdout.strip()
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "commit": git("rev-parse", "--short", "HEAD"),
+        "dirty": None if status is None else bool(status),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "fresh": True,
+    }
+
+
+def _gs2_session(db, space, seed, batched) -> TuningSession:
+    return TuningSession(
+        ParallelRankOrdering(space, r=0.2),
+        db,
+        noise=ParetoNoise(rho=0.2),
+        budget=400,
+        plan=SamplingPlan(2),
+        batched_eval=None if batched else False,
+        rng=seed,
+    )
+
+
+@pytest.mark.bench_smoke
+def test_smoke_session_converged_tail(gs2, gs2_db):
+    """Batched vs scalar session over a 400-step budget PRO converges in.
+
+    On the GS2 database (the Fig. 10 surface) PRO converges after a few
+    dozen steps, so most of the budget is the converged tail of exploit
+    steps: the batched arm draws that tail with one noise call, the scalar
+    arm (``batched_eval=False``) observes it one ``observe_wave`` per step.
+    Identity is asserted bitwise on every seed; the speedup lands in the
+    ``session_db`` section next to the search-phase arm.
+    """
+    space = gs2.space()
+    seeds = list(range(7000, 7010))
+    fast = [_gs2_session(gs2_db, space, seed, True).run() for seed in seeds]
+    scalar = [_gs2_session(gs2_db, space, seed, False).run() for seed in seeds]
+    identical = all(
+        a.step_times.tobytes() == b.step_times.tobytes()
+        and a.incumbent_true_costs.tobytes() == b.incumbent_true_costs.tobytes()
+        and a.step_kinds == b.step_kinds
+        for a, b in zip(fast, scalar)
+    )
+    assert identical, "batched session diverged from the scalar path"
+    converged = [r.converged_at for r in fast if r.converged_at is not None]
+    assert len(converged) == len(seeds), "PRO must converge within the budget"
+
+    def run_arm(batched):
+        for seed in seeds:
+            _gs2_session(gs2_db, space, seed, batched).run()
+
+    # Interleaved reps, best-of per arm (see test_smoke_session_batched).
+    batched_s = scalar_s = float("inf")
+    for _ in range(4):
+        t, _unused = _best_of(1, lambda: run_arm(True))
+        batched_s = min(batched_s, t)
+        t, _unused = _best_of(1, lambda: run_arm(False))
+        scalar_s = min(scalar_s, t)
+    speedup = scalar_s / batched_s
+    assert speedup >= 1.5, (
+        f"converged-tail fast path must be >= 1.5x the scalar path, "
+        f"got {speedup:.2f}x"
+    )
+    _update_bench_json(
+        "session_db",
+        {
+            "converged_tail": {
+                "surface": "gs2_db",
+                "k": 2,
+                "budget": 400,
+                "sessions": len(seeds),
+                "mean_converged_at": round(float(np.mean(converged)), 1),
+                "batched_s": round(batched_s, 4),
+                "scalar_s": round(scalar_s, 4),
+                "speedup": round(speedup, 3),
+                "results_identical": identical,
+            },
+            "provenance": _provenance(),
+        },
+        merge=True,
     )
 
 

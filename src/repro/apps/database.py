@@ -56,6 +56,10 @@ class PerformanceDatabase:
         self._entries: dict[tuple[float, ...], float] = {}
         self._tree: cKDTree | None = None
         self._values_cache: np.ndarray | None = None
+        # Sorted (points, values) of the private dict: sorting ~50k entries
+        # costs tens of ms, and every shared-memory export needs them.
+        # Invalidated by add(); never pickled.
+        self._arrays_cache: tuple[np.ndarray, np.ndarray] | None = None
         # Memo over raw query bytes -> (value, was_exact).  Tuners revisit
         # the same configurations constantly (simplex vertices, incumbent
         # re-runs), so this skips the as_point quantization *and* the
@@ -88,6 +92,7 @@ class PerformanceDatabase:
         self._entries[tuple(pt)] = float(value)
         self._tree = None
         self._values_cache = None
+        self._arrays_cache = None
         self._memo.clear()
 
     def _materialize(self) -> None:
@@ -175,9 +180,11 @@ class PerformanceDatabase:
         if self._frozen_points is not None:
             assert self._frozen_values is not None
             return self._frozen_points, self._frozen_values
-        pts = np.array(sorted(self._entries.keys()), dtype=float)
-        vals = np.array([self._entries[tuple(p)] for p in pts], dtype=float)
-        return pts, vals
+        if self._arrays_cache is None:
+            pts = np.array(sorted(self._entries.keys()), dtype=float)
+            vals = np.array([self._entries[tuple(p)] for p in pts], dtype=float)
+            self._arrays_cache = (pts, vals)
+        return self._arrays_cache
 
     def _index(self) -> tuple[cKDTree, np.ndarray]:
         """Lazy KD-tree over bounds-normalized stored points."""
@@ -366,6 +373,7 @@ class PerformanceDatabase:
         """
         state = self.__dict__.copy()
         # Rebuilt lazily on the receiving side; never worth shipping.
+        del state["_arrays_cache"]
         state["_tree"] = None
         state["_values_cache"] = None
         state["_memo"] = OrderedDict()
@@ -397,6 +405,7 @@ class PerformanceDatabase:
     def __setstate__(self, state: dict) -> None:
         specs = state.pop("_shm_specs", None)
         self.__dict__.update(state)
+        self._arrays_cache = None
         if specs is not None:
             pts, seg_p = _shm.attach_array(specs[0])
             vals, seg_v = _shm.attach_array(specs[1])

@@ -195,7 +195,7 @@ class AdmissionController:
             return True
 
     def complete(self, weight: int = 1, session: str | None = None) -> None:
-        """Return *weight* admitted units (response built and written).
+        """Return *weight* admitted units (response built, not yet written).
 
         Defensive about spurious completes: counters clamp at zero rather
         than going negative, so a transport bug cannot wedge the budget

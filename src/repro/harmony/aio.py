@@ -214,9 +214,12 @@ class AsyncTcpServerTransport:
                     # Admission control: price and admit (or shed) at
                     # *arrival*, on the loop thread, then dispatch on the
                     # pool.  The granted units stay charged until the
-                    # response bytes are flushed, so the budget measures
-                    # the full queue: waiting for a worker, dispatch,
-                    # modeled service time, WAL commit, and the write.
+                    # responses are built, so the budget measures the
+                    # queue: waiting for a worker, dispatch, modeled service
+                    # time, and WAL commit.  They are returned before the
+                    # reply is written (as in the threaded transport), so a
+                    # client that has read its reply never sees them
+                    # pending.
                     prepared = prepare_items(items, self.max_line_bytes)
                     flags, grants = plan_admission(self.server, prepared)
                     try:
@@ -225,11 +228,11 @@ class AsyncTcpServerTransport:
                             self._pool, respond_prepared, self.server,
                             prepared, flags, self.wire, self.max_line_bytes,
                         )
-                        if payload:
-                            writer.write(payload)
-                            await writer.drain()
                     finally:
                         finish_admission(self.server, grants)
+                    if payload:
+                        writer.write(payload)
+                        await writer.drain()
                 if closing:
                     break
         except (ConnectionError, asyncio.CancelledError):

@@ -86,6 +86,27 @@ class Evaluator(ABC):
             f"{type(self).__name__} does not support precomputed observation"
         )
 
+    def observe_precomputed_waves(
+        self, f: np.ndarray, starts: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Observe consecutive waves whose true costs *f* were precomputed.
+
+        Wave *w* holds ``f[starts[w]:starts[w + 1]]`` (the last runs to the
+        end).  Returns the concatenated per-point times and one barrier time
+        per wave.  The default makes one :meth:`observe_precomputed` call
+        per wave, so wrappers keep working unchanged; substrates whose noise
+        is elementwise answer all the waves with one draw.
+        """
+        bounds = [*np.asarray(starts).tolist(), len(f)]
+        waves = [
+            self.observe_precomputed(f[lo:hi], rng)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        return (
+            np.concatenate([np.asarray(y, dtype=float) for y, _ in waves]),
+            np.array([t for _, t in waves], dtype=float),
+        )
+
     @property
     def max_wave_size(self) -> int | None:
         """Largest wave the substrate can run at once (None = unbounded)."""
@@ -126,8 +147,9 @@ class FunctionEvaluator(Evaluator):
     """Pure cost function + analytic noise model.
 
     Observation decomposes as deterministic cost + analytic noise, so the
-    session may precompute ``true_cost_batch`` once per ask-batch and feed
-    the slices through :meth:`observe_precomputed` wave by wave.
+    session may precompute ``true_cost_batch`` once per ask-batch and
+    observe all of the batch's waves through
+    :meth:`observe_precomputed_waves`.
     """
 
     supports_precomputed = True
@@ -171,6 +193,19 @@ class FunctionEvaluator(Evaluator):
             raise ValueError("cannot observe an empty wave")
         y = self.noise.observe_batch(f, rng)
         return y, float(y.max())
+
+    def observe_precomputed_waves(
+        self, f: np.ndarray, starts: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if not self.noise.elementwise:
+            return super().observe_precomputed_waves(f, starts, rng)
+        f = np.asarray(f, dtype=float)
+        if f.size == 0:
+            raise ValueError("cannot observe an empty wave")
+        # One draw for every wave: elementwise noise consumes the generator
+        # in array order, so this is the per-wave draws concatenated.
+        y = self.noise.observe_batch(f, rng)
+        return y, np.maximum.reduceat(y, starts)
 
 
 class DatabaseEvaluator(FunctionEvaluator):

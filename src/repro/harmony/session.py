@@ -24,6 +24,15 @@ a hard budget of application *time steps*:
 * if the budget expires mid-batch, the run is truncated right there: the
   metric is ``Total_Time(budget)``, never more.
 
+Steps are observed an array at a time.  On the fast path (an evaluator with
+``supports_precomputed``) one noise draw covers every wave of a batch — all
+K rounds and the controller's incumbent probe — and one more covers the
+whole converged tail; per-wave barrier times come from a segmented max.
+Evaluators without it (cluster substrates, fault injectors) and the
+``batched_eval=False`` oracle run each wave through ``observe_wave``.  Either
+way the step records are filled from arrays, and both paths give
+bit-identical results.
+
 The session also supports the adaptive-K controller (§5.2 future work),
 which re-decides K between batches from the observed sample spread.
 """
@@ -44,6 +53,9 @@ from repro.obs import trace as obs_trace
 from repro.variability.models import NoiseModel
 
 __all__ = ["TuningSession"]
+
+#: ``starts`` of a single wave
+_ONE_WAVE = np.zeros(1, dtype=np.intp)
 
 
 class TuningSession:
@@ -103,18 +115,11 @@ class TuningSession:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _waves(self, batch: list[np.ndarray]) -> list[list[np.ndarray]]:
-        """Split a batch into waves of at most P points."""
-        p = self.n_processors
-        if p is None or len(batch) <= p:
-            return [batch]
-        return [batch[i : i + p] for i in range(0, len(batch), p)]
-
     def _incumbent(self) -> np.ndarray:
         return self.tuner.best_point
 
     def _fast_eval_active(self) -> bool:
-        """Whether this batch may go through ``observe_precomputed``.
+        """Whether this batch may go through ``observe_precomputed_waves``.
 
         Resolved per batch because fault injectors swap ``self.evaluator``
         after construction; a wrapper that intercepts ``observe_wave`` keeps
@@ -131,152 +136,120 @@ class TuningSession:
         return supported
 
     def _validate(
-        self, times: np.ndarray, t_step: float, n_pts: int
-    ) -> tuple[np.ndarray, float]:
-        """Validate one wave's output (two reductions cover every check).
+        self, times, t_steps, starts: np.ndarray, n_obs: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validate consecutive waves' output (reductions cover every check).
 
         A substrate returning NaN/negative times or a mis-shaped result
         would silently corrupt the Total_Time metric; fail loudly instead.
         """
         times = np.asarray(times, dtype=float)
-        if times.shape != (n_pts,):
+        t_steps = np.asarray(t_steps, dtype=float)
+        if times.shape != (n_obs,) or t_steps.shape != starts.shape:
             raise RuntimeError(
-                f"evaluator returned {times.shape} times for a "
-                f"{n_pts}-point wave"
+                f"evaluator returned {times.shape} times and "
+                f"{t_steps.shape} barrier times for {n_obs} observations "
+                f"in {starts.size} wave(s)"
             )
         tmin = float(times.min())
-        tmax = float(times.max())
+        maxima = np.maximum.reduceat(times, starts)
         # NaN propagates into both reductions; +/-inf lands in one of them.
-        if not (np.isfinite(tmin) and np.isfinite(tmax)) or tmin < 0:
+        if not (np.isfinite(tmin) and np.isfinite(maxima).all()) or tmin < 0:
             raise RuntimeError(
                 f"evaluator returned invalid observation(s): {times!r}"
             )
-        if not np.isfinite(t_step) or t_step < tmax:
+        bad = ~(np.isfinite(t_steps) & (t_steps >= maxima))
+        if bad.any():
+            w = int(np.argmax(bad))
             raise RuntimeError(
-                f"evaluator returned inconsistent barrier time {t_step!r} "
-                f"for wave maxima {tmax!r}"
+                f"evaluator returned inconsistent barrier time "
+                f"{float(t_steps[w])!r} for wave maxima {float(maxima[w])!r}"
             )
-        return times, float(t_step)
+        return times, t_steps
 
-    def _observe(self, pts: list[np.ndarray]) -> tuple[np.ndarray, float]:
-        """Observe one wave through the scalar evaluator interface."""
-        times, t_step = self.evaluator.observe_wave(pts, self.rng)
-        return self._validate(times, t_step, len(pts))
+    def _observe(
+        self, starts: np.ndarray, *, f: np.ndarray | None = None, points=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Observe consecutive waves: ``(times, barrier time per wave)``.
 
-    def _observe_precomputed(
-        self, f_wave: np.ndarray, n_pts: int
-    ) -> tuple[np.ndarray, float]:
-        """Observe one wave whose true costs were computed with the batch."""
-        times, t_step = self.evaluator.observe_precomputed(f_wave, self.rng)
-        return self._validate(times, t_step, n_pts)
+        On the fast path *f* holds the true costs, observed with one
+        ``observe_precomputed_waves`` call; otherwise each wave of *points*
+        goes through the scalar ``observe_wave`` and is validated before the
+        next one runs.
+        """
+        if f is not None:
+            times, t_steps = self.evaluator.observe_precomputed_waves(
+                f, starts, self.rng
+            )
+            return self._validate(times, t_steps, starts, f.size)
+        waves = []
+        bounds = [*starts.tolist(), len(points)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            times, t_step = self.evaluator.observe_wave(points[lo:hi], self.rng)
+            waves.append(self._validate(times, [t_step], _ONE_WAVE, hi - lo))
+        return (
+            np.concatenate([times for times, _ in waves]),
+            np.concatenate([t_steps for _, t_steps in waves]),
+        )
 
-    def _precompute(
-        self, batch, probe_incumbent
-    ) -> tuple[np.ndarray | None, float | None]:
-        """True costs for the batch (and incumbent), or (None, None).
+    def _precompute(self, batch, probe_incumbent) -> np.ndarray | None:
+        """True costs of the batch (then the incumbent, when probed), or None.
 
         The heart of the batched fast path: one vectorized
-        ``true_cost_batch`` call replaces per-wave per-round scalar loops.
-        The noise draws stay wave-by-wave in ``observe_precomputed``, so
-        RNG consumption — and therefore every result — is bit-identical to
-        the scalar path.
+        ``true_cost_batch`` call replaces per-wave per-round scalar loops,
+        and the caller then draws the noise of every wave in the batch with
+        one call.  Elementwise noise consumes the generator in job order,
+        so RNG consumption — and therefore every result — is bit-identical
+        to the scalar path's wave-by-wave draws.
         """
         if not self._fast_eval_active():
-            return None, None
-        f_batch = np.asarray(self.evaluator.true_cost_batch(batch), dtype=float)
-        f_inc = (
-            float(self.evaluator.true_cost(self._incumbent()))
-            if probe_incumbent
-            else None
-        )
-        return f_batch, f_inc
+            return None
+        f = np.asarray(self.evaluator.true_cost_batch(batch), dtype=float)
+        if probe_incumbent:
+            f = np.append(f, float(self.evaluator.true_cost(self._incumbent())))
+        return f
 
-    def _evaluate_sequential(
-        self, batch, k, samples, probe_incumbent, record, step_times
-    ) -> tuple[bool, int]:
-        """K sampling rounds in subsequent time steps (the §6 worst case).
+    def _plan(
+        self, n: int, k: int, probe_incumbent: bool, max_waves: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """Lay out a batch's K rounds as waves.
 
-        Fills ``samples`` in place; returns (truncated, measurements)."""
-        waves = self._waves(batch)
-        f_batch, f_inc = self._precompute(batch, probe_incumbent)
-        n_meas = 0
-        for s in range(k):
-            offset = 0
-            for w_idx, wave in enumerate(waves):
-                if len(step_times) >= self.budget:
-                    return True, n_meas
-                n_pts = len(wave)
-                extra = (
-                    probe_incumbent
-                    and w_idx == 0
-                    and (self.n_processors is None or n_pts < self.n_processors)
-                )
-                if extra:
-                    n_pts += 1
-                if f_batch is not None:
-                    f_wave = f_batch[offset : offset + len(wave)]
-                    if extra:
-                        f_wave = np.append(f_wave, f_inc)
-                    times, t_step = self._observe_precomputed(f_wave, n_pts)
-                else:
-                    pts = list(wave)
-                    if extra:
-                        pts.append(self._incumbent())
-                    times, t_step = self._observe(pts)
-                if extra:
-                    self.controller.observe_incumbent(float(times[-1]))
-                    times = times[: len(wave)]
-                samples[offset : offset + len(wave), s] = times
-                n_meas += n_pts
-                record(t_step, StepKind.EVALUATE, n_pts)
-                offset += len(wave)
-        return False, n_meas
+        Returns ``(jobs, starts, sizes, truncated)``: the jobs in run order,
+        each wave's offset into them and its size, and whether the budget
+        cut the batch short.
 
-    def _evaluate_parallel(
-        self, batch, k, samples, probe_incumbent, record, step_times
-    ) -> tuple[bool, int]:
-        """K replicas of every candidate spread across processors (§5.2's
-        free-multi-sampling case: n·K <= P costs one time step).
-
-        Jobs are ordered round-major so a budget truncation still leaves the
-        earliest rounds complete across all points."""
-        jobs = [(i, s) for s in range(k) for i in range(len(batch))]
+        Job ``j`` observes point ``j % n`` in sampling round ``j // n``;
+        job ``-1`` is the controller's incumbent probe.  Jobs run
+        round-major.  Sequential sampling (the §6 worst case) splits every
+        round into waves of at most P points, so the K rounds occupy
+        subsequent time steps.  Parallel sampling (§5.2's free
+        multi-sampling: n·K <= P costs one time step) packs the job list
+        into waves of P, so a budget truncation still leaves the earliest
+        rounds complete.  The probe rides on a spare processor of the first
+        wave (of every round, when sequential).  Only the first *max_waves*
+        waves are laid out.
+        """
         p = self.n_processors
-        wave_size = len(jobs) if p is None else p
-        f_batch, f_inc = self._precompute(batch, probe_incumbent)
-        n_meas = 0
-        first_wave = True
-        for start in range(0, len(jobs), wave_size):
-            if len(step_times) >= self.budget:
-                return True, n_meas
-            wave_jobs = jobs[start : start + wave_size]
-            n_pts = len(wave_jobs)
-            extra = (
-                probe_incumbent
-                and first_wave
-                and (p is None or n_pts < p)
-            )
-            if extra:
-                n_pts += 1
-            if f_batch is not None:
-                f_wave = f_batch[[i for i, _ in wave_jobs]]
-                if extra:
-                    f_wave = np.append(f_wave, f_inc)
-                times, t_step = self._observe_precomputed(f_wave, n_pts)
-            else:
-                pts = [batch[i] for i, _ in wave_jobs]
-                if extra:
-                    pts.append(self._incumbent())
-                times, t_step = self._observe(pts)
-            if extra:
-                self.controller.observe_incumbent(float(times[-1]))
-                times = times[: len(wave_jobs)]
-            for (i, s), t in zip(wave_jobs, times):
-                samples[i, s] = t
-            n_meas += n_pts
-            record(t_step, StepKind.EVALUATE, n_pts)
-            first_wave = False
-        return False, n_meas
+        if self.parallel_sampling:
+            size = n * k if p is None else p
+            lo = np.arange(0, n * k, size)
+            hi = np.minimum(lo + size, n * k)
+            heads = lo == 0
+        else:
+            size = n if p is None else p
+            lo = (np.arange(k)[:, None] * n + np.arange(0, n, size)).ravel()
+            hi = np.minimum(lo + size, (lo // n + 1) * n)
+            heads = lo % n == 0
+        truncated = lo.size > max_waves
+        lo, hi, heads = lo[:max_waves], hi[:max_waves], heads[:max_waves]
+        jobs = np.arange(hi[-1])
+        sizes = hi - lo
+        if probe_incumbent:
+            probed = heads if p is None else heads & (sizes < p)
+            jobs = np.insert(jobs, hi[probed], -1)
+            lo = lo + np.cumsum(probed) - probed
+            sizes = sizes + probed
+        return jobs, lo, sizes, truncated
 
     # -- the loop -------------------------------------------------------------------
 
@@ -324,16 +297,12 @@ class TuningSession:
         n_measurements = 0
         converged_at: int | None = None
         # true_cost is deterministic by contract, and the incumbent only
-        # changes on tell(), so its cost is recomputed once per distinct
-        # configuration instead of once per recorded step.  The ablation
-        # switch keeps the legacy per-step call for honest benchmarking.
+        # changes on tell(), so its cost is computed once per distinct
+        # configuration instead of once per recorded step.
         inc_cost_cache: dict[bytes, float] = {}
-        use_inc_cache = self.batched_eval is not False
 
         def incumbent_cost() -> float:
             pt = self._incumbent()
-            if not use_inc_cache:
-                return self.evaluator.true_cost(pt)
             key = pt.tobytes()
             cost = inc_cost_cache.get(key)
             if cost is None:
@@ -343,34 +312,49 @@ class TuningSession:
 
         tracer = self.tracer
 
-        def record(t_step: float, kind: StepKind, wave_size: int = 1) -> None:
-            step_times.append(float(t_step))
-            step_kinds.append(kind)
+        def record(t_steps: np.ndarray, kind: StepKind, sizes: np.ndarray) -> None:
+            """Book consecutive steps of one kind, one per wave.
+
+            The tuner is not touched between them, so they share one
+            incumbent (and one batch index)."""
+            nonlocal n_measurements
+            n_measurements += int(sizes.sum())
+            first = len(step_times)
+            times = t_steps.tolist()
+            waves = sizes.tolist()
+            step_times.extend(times)
+            step_kinds.extend([kind] * len(times))
             if tracer is not None:
-                tracer.emit(
-                    "session.step",
-                    t=len(step_times) - 1,
-                    step_kind=kind.value,
-                    t_step=float(t_step),
-                    wave=int(wave_size),
-                )
+                for t, (t_step, wave) in enumerate(zip(times, waves), first):
+                    tracer.emit(
+                        "session.step",
+                        t=t,
+                        step_kind=kind.value,
+                        t_step=t_step,
+                        wave=wave,
+                    )
             initialized = getattr(self.tuner, "initialized", True)
-            if initialized:
-                incumbent_true.append(incumbent_cost())
-            else:
-                incumbent_true.append(float("nan"))
+            cost = incumbent_cost() if initialized else float("nan")
+            incumbent_true.extend([cost] * len(times))
             if self.record_details:
-                details.append(
-                    {
-                        "kind": kind.value,
-                        "wave_size": int(wave_size),
-                        "batch_index": (
-                            self.tuner.n_batches
-                            if kind is StepKind.EVALUATE
-                            else None
-                        ),
-                    }
+                batch_index = (
+                    self.tuner.n_batches if kind is StepKind.EVALUATE else None
                 )
+                details.extend(
+                    {"kind": kind.value, "wave_size": wave, "batch_index": batch_index}
+                    for wave in waves
+                )
+
+        def exploit(m: int) -> None:
+            """Run the incumbent for *m* time steps, one point per wave."""
+            starts = np.arange(m)
+            if self._fast_eval_active():
+                f = np.full(m, incumbent_cost())
+                _times, t_steps = self._observe(starts, f=f)
+            else:
+                pts = [self._incumbent()] * m
+                _times, t_steps = self._observe(starts, points=pts)
+            record(t_steps, StepKind.EXPLOIT, np.ones(m, dtype=int))
 
         # Reusable sample matrix: tuners that bound their batch size let us
         # allocate once and slice per batch instead of np.full every loop.
@@ -378,31 +362,26 @@ class TuningSession:
         sample_buf: np.ndarray | None = None
 
         while len(step_times) < self.budget:
-            if self.tuner.converged and converged_at is None:
-                converged_at = len(step_times)
-            batch = [] if self.tuner.converged else self.tuner.ask()
-            if tracer is not None and batch:
+            remaining = self.budget - len(step_times)
+            if self.tuner.converged:
+                if converged_at is None:
+                    converged_at = len(step_times)
+                # The local-minimum certificate fixes the incumbent for
+                # good: the rest of the budget runs it, drawn at once.
+                exploit(remaining)
+                break
+            batch = self.tuner.ask()
+            if not batch:
+                if not self.tuner.converged:
+                    # Nothing to ask yet: run the incumbent for one step.
+                    exploit(1)
+                continue
+            if tracer is not None:
                 tracer.emit(
                     "batch.proposed",
                     size=len(batch),
                     batch_index=self.tuner.n_batches,
                 )
-            if not batch:
-                if self.tuner.converged and converged_at is None:
-                    converged_at = len(step_times)
-                # Exploit: run the incumbent for one time step.  The fast
-                # path reuses the cached true cost (the incumbent cannot
-                # change between tell()s) and draws only the noise —
-                # bit-identical to observe_wave, which computes the same f
-                # before making the same draw.
-                if self._fast_eval_active():
-                    f_exploit = np.array([incumbent_cost()], dtype=float)
-                    times, t_step = self._observe_precomputed(f_exploit, 1)
-                else:
-                    times, t_step = self._observe([self._incumbent()])
-                n_measurements += times.size
-                record(t_step, StepKind.EXPLOIT, 1)
-                continue
             # Cluster substrates let idle nodes run the incumbent.
             set_fill = getattr(self.evaluator, "set_fill_point", None)
             if set_fill is not None and getattr(self.tuner, "initialized", False):
@@ -412,13 +391,14 @@ class TuningSession:
                 if self.controller is not None
                 else self.plan.k
             )
-            if max_batch is not None and len(batch) <= max_batch:
+            n = len(batch)
+            if max_batch is not None and n <= max_batch:
                 if sample_buf is None or sample_buf.shape[1] != k:
                     sample_buf = np.empty((max_batch, k), dtype=float)
-                samples = sample_buf[: len(batch)]
+                samples = sample_buf[:n]
                 samples.fill(np.nan)
             else:
-                samples = np.full((len(batch), k), np.nan)
+                samples = np.full((n, k), np.nan)
             # With a controller in play, piggyback one observation of the
             # incumbent per batch on a spare processor: repeated
             # same-configuration measurements are the pure-noise signal the
@@ -428,15 +408,25 @@ class TuningSession:
                 self.controller is not None
                 and getattr(self.tuner, "initialized", False)
             )
-            if self.parallel_sampling:
-                truncated, n_meas = self._evaluate_parallel(
-                    batch, k, samples, probe_incumbent, record, step_times
-                )
+            jobs, starts, sizes, truncated = self._plan(
+                n, k, probe_incumbent, remaining
+            )
+            own = jobs >= 0
+            # Index n (one past the batch) is the incumbent probe.
+            point_of = np.where(own, jobs % n, n)
+            f = self._precompute(batch, probe_incumbent)
+            if f is not None:
+                times, t_steps = self._observe(starts, f=f[point_of])
             else:
-                truncated, n_meas = self._evaluate_sequential(
-                    batch, k, samples, probe_incumbent, record, step_times
+                points = [*batch, self._incumbent()]
+                times, t_steps = self._observe(
+                    starts, points=[points[i] for i in point_of.tolist()]
                 )
-            n_measurements += n_meas
+            if probe_incumbent:
+                for y in times[~own].tolist():
+                    self.controller.observe_incumbent(y)
+            samples[jobs[own] % n, jobs[own] // n] = times[own]
+            record(t_steps, StepKind.EVALUATE, sizes)
             valid = ~np.isnan(samples)
             if np.all(valid.any(axis=1)):
                 if valid.all():

@@ -112,10 +112,11 @@ def plan_admission(
     Returns ``(flags, grants)``: per-item admit decisions (``None`` when
     the server has no admission controller — everything is admitted) and
     the ``(weight, session)`` grants to hand back via
-    :func:`finish_admission` once the responses have been written.  The
+    :func:`finish_admission` once the responses have been built.  The
     admitted units stay charged from this call until then — that window
-    (dispatch, modeled service time, WAL commit, response write) *is* the
-    pending work the budget bounds.
+    (dispatch, modeled service time, WAL commit) *is* the pending work the
+    budget bounds.  Both transports return them before writing the reply,
+    so a client that has read its reply never sees its units pending.
     """
     admission = getattr(server, "admission", None)
     if admission is None:
@@ -237,8 +238,7 @@ def respond_frames(
     handling cannot drift: :func:`prepare_items` → :func:`plan_admission`
     → :func:`respond_prepared`, with the admitted units held until the
     responses are built (the asyncio transport spreads the same stages
-    around its executor hop so the units stay charged until the bytes are
-    flushed).  Returns ``(payload, closing)``.
+    around its executor hop).  Returns ``(payload, closing)``.
     """
     prepared = prepare_items(items, max_line_bytes)
     flags, grants = plan_admission(server, prepared)

@@ -38,6 +38,12 @@ class NoiseModel(ABC):
     #: idle system throughput ρ consumed by the variability source.
     rho: float = 0.0
 
+    #: True when every observation draws its noise from *rng* on its own,
+    #: in array order, with no state carried between calls: then one
+    #: ``sample_noise`` over several concatenated waves returns exactly what
+    #: one call per wave would, and an evaluator may draw them all at once.
+    elementwise: bool = False
+
     @abstractmethod
     def sample_noise(
         self, f: np.ndarray, rng: np.random.Generator
@@ -77,6 +83,7 @@ class NoNoise(NoiseModel):
     """Perfect measurements: y = f.  ρ = 0."""
 
     rho = 0.0
+    elementwise = True
 
     def sample_noise(self, f: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.zeros_like(f)
@@ -91,6 +98,8 @@ class ParetoNoise(NoiseModel):
     Default α = 1.7 as in the paper — heavy-tailed with finite mean and
     infinite variance.  ρ = 0 degenerates to NoNoise behaviour.
     """
+
+    elementwise = True
 
     def __init__(self, rho: float, alpha: float = 1.7) -> None:
         self.rho = check_probability("rho", rho)
@@ -169,6 +178,8 @@ class GaussianNoise(NoiseModel):
     estimator ablation.
     """
 
+    elementwise = True
+
     def __init__(self, rho: float, cv: float = 0.25) -> None:
         self.rho = check_probability("rho", rho)
         self.cv = check_nonnegative("cv", cv)
@@ -190,6 +201,8 @@ class ExponentialNoise(NoiseModel):
     Matches Eq. (7) exactly; light-tailed (all moments finite); its minimum
     floor n_min is 0 rather than β > 0.
     """
+
+    elementwise = True
 
     def __init__(self, rho: float) -> None:
         self.rho = check_probability("rho", rho)

@@ -224,6 +224,29 @@ class TestDatabaseBroadcastPickle:
         assert not clone.is_shared
         assert clone((0, 0)) == 1.0
 
+    def test_sorted_arrays_cached_across_exports(self):
+        db = make_large_db()
+        hole = missing_point(db)
+        plain = pickle.dumps(db)
+        fresh_points, fresh_values = make_large_db()._arrays()
+        with _shm.ShmBroadcast() as broadcast:
+            with _shm.broadcasting(broadcast):
+                clones = [pickle.loads(pickle.dumps(db)) for _ in range(2)]
+            cached = db._arrays()
+            assert db._arrays() is cached  # the second export re-used it
+            for clone in clones:
+                assert clone._frozen_points.tobytes() == fresh_points.tobytes()
+                assert clone._frozen_values.tobytes() == fresh_values.tobytes()
+            # the cache never travels: the plain pickle is byte-identical
+            assert pickle.dumps(db) == plain
+            db.add(hole, 123.0)  # invalidates the sorted arrays
+            with _shm.broadcasting(broadcast):
+                clones.append(pickle.loads(pickle.dumps(db)))
+            assert clones[-1].lookup(hole) == 123.0
+            assert len(clones[-1]) == len(clones[0]) + 1
+            for clone in clones:
+                clone._materialize()
+
     def test_pickle_without_broadcast_is_self_contained(self):
         db = make_large_db()
         clone = pickle.loads(pickle.dumps(db))

@@ -1,17 +1,19 @@
 """Bit-identity of the session's batched-evaluation fast path.
 
-``batched_eval=None`` (the default) routes probe batches through
-``observe_precomputed`` whenever the evaluator supports it; ``False`` forces
-the historical wave-by-wave scalar loop.  The two must produce bitwise
-identical :class:`SessionResult` records — the fast path is an optimization,
-never a semantic change — and fault-injecting wrappers must transparently
-turn it off.
+``batched_eval=None`` (the default) observes every wave of a batch, and the
+whole converged tail, through one ``observe_precomputed_waves`` call
+whenever the evaluator supports it; ``False`` forces the wave-by-wave
+scalar ``observe_wave`` loop.  The two must produce bitwise identical
+:class:`SessionResult` records and trace streams — the fast path is an
+optimization, never a semantic change — and fault-injecting wrappers must
+transparently turn it off.
 """
 
 import numpy as np
 import pytest
 
 from repro.apps.database import PerformanceDatabase
+from repro.core.adaptive import AdaptiveSamplingController
 from repro.core.pro import ParallelRankOrdering
 from repro.core.sampling import SamplingPlan
 from repro.faults.inject import FaultyEvaluator
@@ -20,9 +22,19 @@ from repro.harmony.evaluator import (
     Evaluator,
     FunctionEvaluator,
 )
+from repro.harmony.metrics import StepKind
 from repro.harmony.session import TuningSession
+from repro.obs import Tracer, canonical_events
 from repro.space import IntParameter, ParameterSpace
-from repro.variability import ParetoNoise
+from repro.variability import (
+    ExponentialNoise,
+    GaussianNoise,
+    MarkovModulatedNoise,
+    NoNoise,
+    ParetoNoise,
+    SpikeMixtureNoise,
+    TruncatedParetoNoise,
+)
 
 SPACE = ParameterSpace([IntParameter(f"x{i}", -8, 8) for i in range(4)])
 
@@ -32,24 +44,67 @@ def rugged(point) -> float:
     return float(1.0 + np.sum(x * x + 10.0 * (1.0 - np.cos(np.pi * x / 2.0))))
 
 
-def make_session(evaluator, seed, batched):
+def bowl(point) -> float:
+    """A convex surface PRO converges on well inside a 200-step budget."""
+    x = np.asarray(point, dtype=float)
+    return float(1.0 + np.sum(x * x))
+
+
+def make_session(evaluator, seed, batched, **kwargs):
     # Evaluator instances carry their own noise model; bare callables get one.
     noise = None if isinstance(evaluator, Evaluator) else ParetoNoise(rho=0.2)
+    options = {"budget": 40, "plan": SamplingPlan(2), **kwargs}
     return TuningSession(
         ParallelRankOrdering(SPACE), evaluator, noise=noise,
-        budget=40, plan=SamplingPlan(2), batched_eval=None if batched else False,
-        rng=seed,
+        batched_eval=None if batched else False, rng=seed, **options,
     )
 
 
 def assert_records_identical(a, b):
     assert a.step_times.tobytes() == b.step_times.tobytes()
     assert a.step_kinds == b.step_kinds
+    assert a.incumbent_true_costs.tobytes() == b.incumbent_true_costs.tobytes()
+    assert a.step_details == b.step_details
     assert a.best_point.tobytes() == b.best_point.tobytes()
     assert a.best_true_cost == b.best_true_cost
     assert a.n_measurements == b.n_measurements
     assert a.n_evaluations == b.n_evaluations
     assert a.converged_at == b.converged_at
+
+
+class RecordingController(AdaptiveSamplingController):
+    """Adaptive-K controller that keeps every incumbent probe it is fed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.probes: list[float] = []
+
+    def observe_incumbent(self, estimate: float) -> None:
+        self.probes.append(estimate)
+        super().observe_incumbent(estimate)
+
+
+def run_pair(make_evaluator, seed, adaptive=False, **kwargs):
+    """Run one configuration both ways (record_details on) and compare.
+
+    Evaluators (their noise may carry state) and adaptive controllers are
+    built fresh for each arm; with a controller, both arms must feed it the
+    same incumbent probes.  Returns the fast result and those probes."""
+
+    def run(batched):
+        controller = RecordingController() if adaptive else None
+        result = make_session(
+            make_evaluator(), seed, batched, record_details=True,
+            controller=controller, **kwargs,
+        ).run()
+        return result, controller
+
+    (fast, fast_ctrl), (scalar, scalar_ctrl) = run(True), run(False)
+    assert_records_identical(fast, scalar)
+    if not adaptive:
+        return fast, None
+    assert fast_ctrl.probes == scalar_ctrl.probes
+    return fast, fast_ctrl.probes
 
 
 class TestBatchedEvalEquivalence:
@@ -102,3 +157,149 @@ class TestBatchedEvalEquivalence:
             FunctionEvaluator(rugged, ParetoNoise(rho=0.2)), 5, batched=False
         ).run()
         assert default.step_times.sum() > clean.step_times.sum()
+
+
+def pareto(fn=rugged):
+    return lambda: FunctionEvaluator(fn, ParetoNoise(rho=0.2))
+
+
+class TestArrayObservation:
+    """Fast vs scalar across every shape a batch can take."""
+
+    @pytest.mark.parametrize("seed", [2, 19])
+    def test_converged_tail(self, seed):
+        fast, _ = run_pair(pareto(bowl), seed, budget=200)
+        assert fast.converged_at is not None
+        exploit = [k is StepKind.EXPLOIT for k in fast.step_kinds]
+        assert sum(exploit) > 100
+        # the whole tail after convergence is exploit steps
+        assert all(exploit[fast.converged_at:])
+
+    @pytest.mark.parametrize("budget", [1, 7, 13, 23])
+    def test_budget_truncates_mid_batch(self, budget):
+        fast, _ = run_pair(pareto(), 4, budget=budget, plan=SamplingPlan(3))
+        assert fast.step_times.size == budget
+
+    @pytest.mark.parametrize("n_processors", [1, 2, 3])
+    def test_multi_wave_batches(self, n_processors):
+        fast, _ = run_pair(
+            pareto(), 8, budget=60, n_processors=n_processors,
+            plan=SamplingPlan(2),
+        )
+        sizes = {d["wave_size"] for d in fast.step_details}
+        assert max(sizes) <= n_processors
+
+    @pytest.mark.parametrize("parallel_sampling", [False, True])
+    @pytest.mark.parametrize("n_processors", [None, 3, 16])
+    def test_adaptive_controller_probe(self, parallel_sampling, n_processors):
+        _fast, probes = run_pair(
+            pareto(), 11, budget=80, n_processors=n_processors,
+            parallel_sampling=parallel_sampling,
+            plan=SamplingPlan(1), adaptive=True,
+        )
+        # three processors leave no spare one beside a PRO batch
+        assert bool(probes) == (n_processors != 3)
+
+    @pytest.mark.parametrize("n_processors", [None, 4, 5, 9])
+    @pytest.mark.parametrize("budget", [3, 50, 200])
+    def test_parallel_sampling(self, n_processors, budget):
+        run_pair(
+            pareto(bowl), 6, budget=budget, n_processors=n_processors,
+            parallel_sampling=True, plan=SamplingPlan(3),
+        )
+
+    def test_no_noise(self):
+        fast, _ = run_pair(lambda: FunctionEvaluator(bowl, NoNoise()), 0, budget=120)
+        assert fast.converged_at is not None
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            GaussianNoise(rho=0.2),
+            ExponentialNoise(rho=0.2),
+            TruncatedParetoNoise(rho=0.3),
+            SpikeMixtureNoise(p_small=0.4, p_big=0.2),
+        ],
+        ids=lambda n: type(n).__name__,
+    )
+    def test_other_noise_models(self, noise):
+        run_pair(lambda: FunctionEvaluator(bowl, noise), 5, budget=150)
+
+    def test_stateful_noise_keeps_per_wave_draws(self):
+        # Markov-modulated noise advances its regime once per call, so the
+        # evaluator must fall back to one draw per wave; fresh models per
+        # arm keep the regime chains independent.
+        def markov():
+            return FunctionEvaluator(bowl, MarkovModulatedNoise())
+
+        run_pair(markov, 9, budget=150, plan=SamplingPlan(2))
+
+    @pytest.mark.parametrize("parallel_sampling", [False, True])
+    def test_trace_streams_identical(self, parallel_sampling):
+        def traced(batched):
+            tracer = Tracer(label="session")
+            session = make_session(
+                FunctionEvaluator(bowl, ParetoNoise(rho=0.2)), 12, batched,
+                budget=150, n_processors=4, parallel_sampling=parallel_sampling,
+                controller=RecordingController(), plan=SamplingPlan(1),
+            )
+            session.tracer = tracer
+            session.run()
+            return canonical_events(tracer.drain())
+
+        fast, scalar = traced(True), traced(False)
+        steps = [e for e in fast if e["kind"] == "session.step"]
+        assert len(steps) == 150
+        assert any(e["step_kind"] == "exploit" for e in steps)
+        assert fast == scalar
+
+
+class TestObservePrecomputedWaves:
+    """The evaluator's multi-wave call against its per-wave definition."""
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoNoise(),
+            ParetoNoise(rho=0.2),
+            TruncatedParetoNoise(rho=0.3),
+            GaussianNoise(rho=0.2),
+            ExponentialNoise(rho=0.2),
+            SpikeMixtureNoise(p_small=0.4, p_big=0.2),
+        ],
+        ids=lambda n: type(n).__name__,
+    )
+    def test_matches_per_wave_calls(self, noise):
+        f = np.random.default_rng(1).uniform(1.0, 50.0, 37)
+        starts = np.array([0, 3, 4, 10, 20, 36])
+        evaluator = FunctionEvaluator(rugged, noise)
+        times, t_steps = evaluator.observe_precomputed_waves(
+            f, starts, np.random.default_rng(5)
+        )
+        rng = np.random.default_rng(5)
+        bounds = [*starts, f.size]
+        waves = [
+            evaluator.observe_precomputed(f[lo:hi], rng)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert times.tobytes() == np.concatenate([y for y, _ in waves]).tobytes()
+        assert t_steps.tolist() == [t for _, t in waves]
+
+    def test_base_default_loops_observe_precomputed(self):
+        class PerWave(DelegatingEvaluator):
+            supports_precomputed = True
+
+            def __init__(self, inner):
+                super().__init__(inner)
+                self.calls = 0
+
+            def observe_precomputed(self, f, rng):
+                self.calls += 1
+                return self.inner.observe_precomputed(f, rng)
+
+        evaluator = PerWave(FunctionEvaluator(rugged, ParetoNoise(rho=0.2)))
+        times, t_steps = evaluator.observe_precomputed_waves(
+            np.arange(1.0, 7.0), np.array([0, 2, 5]), np.random.default_rng(0)
+        )
+        assert evaluator.calls == 3
+        assert times.shape == (6,) and t_steps.shape == (3,)
