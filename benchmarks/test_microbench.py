@@ -68,6 +68,25 @@ def test_perf_projection(benchmark, gs2):
     assert all(space.contains(p) for p in out)
 
 
+@pytest.mark.parametrize("m", [3, 6])
+def test_perf_batch_geometry(benchmark, gs2, m):
+    """One PRO ask's geometry on GS2: ``project_batch`` then
+    ``contains_batch`` over N = 3 moving vertices or 2N = 6 probe points."""
+    space = gs2.space()
+    rng = np.random.default_rng(m)
+    center = space.random_point(rng)
+    raw = np.array([space.random_point(rng) + rng.normal(0, 3, 3) for _ in range(m)])
+
+    def ask():
+        batch = space.project_batch(raw, center)
+        return batch, space.contains_batch(batch)
+
+    batch, ok = benchmark(ask)
+    assert ok.all()
+    expected = np.array([space.project(p, center) for p in raw])
+    assert batch.tobytes() == expected.tobytes()
+
+
 def test_perf_surrogate_eval(benchmark, gs2):
     space = gs2.space()
     rng = np.random.default_rng(1)

@@ -25,6 +25,7 @@ Contract:
 from __future__ import annotations
 
 import enum
+import math
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -89,7 +90,7 @@ class BatchTuner(ABC):
             raise ValueError(
                 f"expected {len(self._pending)} values, got {len(vals)}"
             )
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"estimates must be finite, got {vals}")
         batch = self._pending
         self._pending = None

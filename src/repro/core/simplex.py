@@ -21,6 +21,7 @@ the prose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +77,7 @@ class Vertex:
         self.value = float(self.value)
         if self.point.ndim != 1:
             raise ValueError(f"vertex point must be 1-D, got shape {self.point.shape}")
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise ValueError(f"vertex value must be finite, got {self.value}")
 
     def copy(self) -> "Vertex":

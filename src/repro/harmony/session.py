@@ -31,7 +31,8 @@ whole converged tail; per-wave barrier times come from a segmented max.
 Evaluators without it (cluster substrates, fault injectors) and the
 ``batched_eval=False`` oracle run each wave through ``observe_wave``.  Either
 way the step records are filled from arrays, and both paths give
-bit-identical results.
+bit-identical results.  A batch's wave layout depends only on its shape,
+so each shape is laid out once per session.
 
 The session also supports the adaptive-K controller (§5.2 future work),
 which re-decides K between batches from the observed sample spread.
@@ -39,7 +40,7 @@ which re-decides K between batches from the observed sample spread.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,24 @@ __all__ = ["TuningSession"]
 
 #: ``starts`` of a single wave
 _ONE_WAVE = np.zeros(1, dtype=np.intp)
+
+
+class _Layout(NamedTuple):
+    """A batch's waves (see :meth:`TuningSession._plan`)."""
+
+    #: each wave's offset into the run-order job list, and its size
+    starts: np.ndarray
+    sizes: np.ndarray
+    #: batch row each job observes; ``n`` for the incumbent probe
+    point_of: np.ndarray
+    #: positions of the batch's own jobs, and of the probes, in run order
+    own: np.ndarray
+    probe: np.ndarray
+    #: sample-matrix row and sampling round of each of the ``own`` jobs
+    rows: np.ndarray
+    rounds: np.ndarray
+    #: whether the budget cut the batch short
+    truncated: bool
 
 
 class TuningSession:
@@ -211,12 +230,8 @@ class TuningSession:
 
     def _plan(
         self, n: int, k: int, probe_incumbent: bool, max_waves: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    ) -> _Layout:
         """Lay out a batch's K rounds as waves.
-
-        Returns ``(jobs, starts, sizes, truncated)``: the jobs in run order,
-        each wave's offset into them and its size, and whether the budget
-        cut the batch short.
 
         Job ``j`` observes point ``j % n`` in sampling round ``j // n``;
         job ``-1`` is the controller's incumbent probe.  Jobs run
@@ -228,6 +243,11 @@ class TuningSession:
         rounds complete.  The probe rides on a spare processor of the first
         wave (of every round, when sequential).  Only the first *max_waves*
         waves are laid out.
+
+        The layout depends on nothing but its arguments and the session's
+        constants, so :meth:`_run` reuses an untruncated one for every
+        batch of the same ``(n, k, probe_incumbent)``; its arrays are
+        read-only for that reason.
         """
         p = self.n_processors
         if self.parallel_sampling:
@@ -249,7 +269,22 @@ class TuningSession:
             jobs = np.insert(jobs, hi[probed], -1)
             lo = lo + np.cumsum(probed) - probed
             sizes = sizes + probed
-        return jobs, lo, sizes, truncated
+        mine = jobs >= 0
+        own = jobs[mine]
+        layout = _Layout(
+            starts=lo,
+            sizes=sizes,
+            # Index n (one past the batch) is the incumbent probe.
+            point_of=np.where(mine, jobs % n, n),
+            own=np.flatnonzero(mine),
+            probe=np.flatnonzero(~mine),
+            rows=own % n,
+            rounds=own // n,
+            truncated=truncated,
+        )
+        for arr in layout[:-1]:
+            arr.setflags(write=False)
+        return layout
 
     # -- the loop -------------------------------------------------------------------
 
@@ -360,6 +395,8 @@ class TuningSession:
         # allocate once and slice per batch instead of np.full every loop.
         max_batch = getattr(self.tuner, "max_batch_size", None)
         sample_buf: np.ndarray | None = None
+        # Untruncated wave layouts by (n, k, probe_incumbent).
+        layouts: dict[tuple[int, int, bool], _Layout] = {}
 
         while len(step_times) < self.budget:
             remaining = self.budget - len(step_times)
@@ -392,13 +429,6 @@ class TuningSession:
                 else self.plan.k
             )
             n = len(batch)
-            if max_batch is not None and n <= max_batch:
-                if sample_buf is None or sample_buf.shape[1] != k:
-                    sample_buf = np.empty((max_batch, k), dtype=float)
-                samples = sample_buf[:n]
-                samples.fill(np.nan)
-            else:
-                samples = np.full((n, k), np.nan)
             # With a controller in play, piggyback one observation of the
             # incumbent per batch on a spare processor: repeated
             # same-configuration measurements are the pure-noise signal the
@@ -408,39 +438,52 @@ class TuningSession:
                 self.controller is not None
                 and getattr(self.tuner, "initialized", False)
             )
-            jobs, starts, sizes, truncated = self._plan(
-                n, k, probe_incumbent, remaining
-            )
-            own = jobs >= 0
-            # Index n (one past the batch) is the incumbent probe.
-            point_of = np.where(own, jobs % n, n)
+            key = (n, k, probe_incumbent)
+            layout = layouts.get(key)
+            if layout is None or layout.starts.size > remaining:
+                # The remaining budget may cut this batch short; such a
+                # layout is used once and never cached.
+                layout = self._plan(n, k, probe_incumbent, remaining)
+                if not layout.truncated:
+                    layouts[key] = layout
+            if max_batch is not None and n <= max_batch:
+                if sample_buf is None or sample_buf.shape[1] != k:
+                    sample_buf = np.empty((max_batch, k), dtype=float)
+                samples = sample_buf[:n]
+            else:
+                samples = np.empty((n, k))
+            if layout.truncated:
+                samples.fill(np.nan)
             f = self._precompute(batch, probe_incumbent)
             if f is not None:
-                times, t_steps = self._observe(starts, f=f[point_of])
+                times, t_steps = self._observe(layout.starts, f=f[layout.point_of])
             else:
                 points = [*batch, self._incumbent()]
                 times, t_steps = self._observe(
-                    starts, points=[points[i] for i in point_of.tolist()]
+                    layout.starts,
+                    points=[points[i] for i in layout.point_of.tolist()],
                 )
             if probe_incumbent:
-                for y in times[~own].tolist():
+                for y in times[layout.probe].tolist():
                     self.controller.observe_incumbent(y)
-            samples[jobs[own] % n, jobs[own] // n] = times[own]
-            record(t_steps, StepKind.EVALUATE, sizes)
-            valid = ~np.isnan(samples)
-            if np.all(valid.any(axis=1)):
-                if valid.all():
-                    # Untruncated batch: one vectorized axis-1 reduction.
-                    estimates = np.asarray(
-                        self.plan.combine_batch(samples), dtype=float
-                    )
-                else:
+            # An untruncated layout observes every (point, round) once, so
+            # it fills the whole sample matrix.
+            samples[layout.rows, layout.rounds] = times[layout.own]
+            record(t_steps, StepKind.EVALUATE, layout.sizes)
+            if not layout.truncated:
+                # One vectorized axis-1 reduction.
+                estimates = np.asarray(self.plan.combine_batch(samples), dtype=float)
+            else:
+                valid = ~np.isnan(samples)
+                estimates = None
+                if np.all(valid.any(axis=1)):
                     estimates = np.array(
                         [
                             self.plan.combine(row[mask])
                             for row, mask in zip(samples, valid)
                         ]
                     )
+            if estimates is not None:
                 self.tuner.tell(estimates)
                 if tracer is not None:
                     tracer.emit(
@@ -450,7 +493,7 @@ class TuningSession:
                     )
                 if self.controller is not None:
                     self.controller.observe_batch(samples)
-            if truncated:
+            if layout.truncated:
                 break
 
         if self.tuner.converged and converged_at is None:

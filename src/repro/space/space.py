@@ -133,23 +133,29 @@ class ParameterSpace:
             [p.project(x, c) for p, x, c in zip(self._params, pt, ctr)], dtype=float
         )
 
-    #: below this many rows the fixed cost of the column-wise numpy kernels
-    #: exceeds the scalar loop; both sides are bitwise identical, so the
-    #: batch entry points just pick whichever is faster
-    _VECTORIZE_MIN_ROWS = 12
+    #: below this many rows the batch entry points loop over ``tolist()``
+    #: rows instead of running the column-wise numpy kernels; both sides are
+    #: bitwise identical, so this only picks the faster one.  Measured on
+    #: 3-parameter spaces (2 vCPUs, CPython 3.11): an integer column's
+    #: kernels cost ~100 µs (project) and ~35 µs (contains) however few the
+    #: rows, against ~2.2 and ~1.1 µs per row for the scalar loop, so integer
+    #: lattices — every shipped application space — cross over between 24
+    #: (contains) and ~45 rows (project).  Ordinal columns cross over near
+    #: 12 rows; float columns' kernels win at any size.  PRO's batches hold
+    #: at most 2N rows, which keeps them scalar.
+    _VECTORIZE_MIN_ROWS = 24
 
     def contains_batch(self, points: Sequence[Sequence[float]]) -> np.ndarray:
         """Vectorized :meth:`contains`: one boolean per row of *points*."""
         arr = self.as_batch(points)
         if arr.shape[0] < self._VECTORIZE_MIN_ROWS:
             params = self._params
-            return np.fromiter(
-                (
-                    all(p.contains(float(x)) for p, x in zip(params, row))
-                    for row in arr
-                ),
+            return np.array(
+                [
+                    all(p.contains(x) for p, x in zip(params, row))
+                    for row in arr.tolist()
+                ],
                 dtype=bool,
-                count=arr.shape[0],
             )
         ok = np.ones(arr.shape[0], dtype=bool)
         for i, p in enumerate(self._params):
@@ -166,16 +172,17 @@ class ParameterSpace:
         """
         arr = self.as_batch(points)
         ctr = self.as_point(center)
-        out = np.empty_like(arr)
         if arr.shape[0] < self._VECTORIZE_MIN_ROWS:
-            centers = [float(c) for c in ctr]
+            centers = ctr.tolist()
             params = self._params
             for p, c in zip(params, centers):
                 p._require_admissible(c, "projection centre")
-            for r, row in enumerate(arr):
-                for i, p in enumerate(params):
-                    out[r, i] = p.project_unchecked(float(row[i]), centers[i])
-            return out
+            rows = [
+                [p.project_unchecked(x, c) for p, x, c in zip(params, row, centers)]
+                for row in arr.tolist()
+            ]
+            return np.array(rows, dtype=float).reshape(arr.shape)
+        out = np.empty_like(arr)
         for i, p in enumerate(self._params):
             out[:, i] = p.project_array(arr[:, i], float(ctr[i]))
         return out
@@ -239,7 +246,7 @@ class ParameterSpace:
         Discrete coordinates must be exactly equal; continuous coordinates
         must agree within the parameter's ``tolerance`` (§3.2.2).
         """
-        pts = [self.as_point(p) for p in points]
+        pts = [self.as_point(p).tolist() for p in points]
         if len(pts) <= 1:
             return True
         ref = pts[0]

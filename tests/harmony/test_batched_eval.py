@@ -303,3 +303,89 @@ class TestObservePrecomputedWaves:
         )
         assert evaluator.calls == 3
         assert times.shape == (6,) and t_steps.shape == (3,)
+
+
+def tilted(point) -> float:
+    """A minimum away from the start, so PRO walks, shrinks and restarts."""
+    x = np.asarray(point, dtype=float)
+    return float(
+        1.0 + np.sum(np.abs(x - [5.0, -3.0, 2.0, 7.0])) + 3.0 * np.sum(1.0 - np.cos(x))
+    )
+
+
+class TestLayoutCache:
+    """Untruncated wave layouts are laid out once per (n, K, probe)."""
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        """Every ``_plan`` call: (session, arguments, layout)."""
+        calls = []
+        plan = TuningSession._plan
+
+        def spy(session, *args):
+            layout = plan(session, *args)
+            calls.append((session, args, layout))
+            return layout
+
+        monkeypatch.setattr(TuningSession, "_plan", spy)
+        return calls
+
+    @staticmethod
+    def run_pair(seed, budget, controller=None, **kwargs):
+        """Fast and ``batched_eval=False`` arms; returns the fast session,
+        its result, and both arms' controllers."""
+        runs = []
+        for batched in (True, False):
+            session = TuningSession(
+                ParallelRankOrdering(SPACE, r=0.2),
+                FunctionEvaluator(tilted, ParetoNoise(rho=0.2)),
+                budget=budget, record_details=True,
+                controller=None if controller is None else controller(),
+                batched_eval=None if batched else False, rng=seed, **kwargs,
+            )
+            runs.append((session, session.run()))
+        (fast, fast_result), (scalar, scalar_result) = runs
+        assert_records_identical(fast_result, scalar_result)
+        return fast, fast_result, (fast.controller, scalar.controller)
+
+    def test_k_changes_mid_run(self, plans):
+        fast, _result, (ctrl, scalar_ctrl) = self.run_pair(
+            9, 120, controller=RecordingController, plan=SamplingPlan(1)
+        )
+        assert ctrl.probes == scalar_ctrl.probes and ctrl.probes
+        assert ctrl.history == scalar_ctrl.history
+        assert len({k for _gap, k in ctrl.history}) > 1
+        keys = {args[:3] for session, args, _ in plans if session is fast}
+        assert len({k for _n, k, _probe in keys}) > 1
+
+    def test_probe_restarts_vary_batch_sizes(self, plans):
+        fast, result, _ = self.run_pair(1, 300, plan=SamplingPlan(2))
+        assert fast.tuner.n_restarts >= 1
+        assert result.converged_at is not None
+        keys = [args[:3] for session, args, _ in plans if session is fast]
+        assert len({n for n, _k, _probe in keys}) >= 3
+        # one layout per distinct batch shape, however many batches ran
+        assert len(keys) == len(set(keys)) < fast.tuner.n_batches
+
+    @pytest.mark.parametrize("budget", [21, 25, 29])
+    def test_budget_truncates_final_batch(self, plans, budget):
+        fast, result, _ = self.run_pair(1, budget, plan=SamplingPlan(2))
+        assert result.step_times.size == budget
+        calls = [(args, layout) for session, args, layout in plans if session is fast]
+        (args, last), earlier = calls[-1], calls[:-1]
+        # the same batch shape was cached earlier, yet the truncated batch
+        # was laid out afresh for the steps that were left
+        assert last.truncated and last.starts.size == args[3]
+        assert any(a[:3] == args[:3] and not lay.truncated for a, lay in earlier)
+
+    def test_cached_layouts_are_read_only(self, plans):
+        self.run_pair(1, 300, plan=SamplingPlan(2))
+        assert plans
+        for _session, _args, layout in plans:
+            arrays = [a for a in layout if isinstance(a, np.ndarray)]
+            assert len(arrays) == len(layout) - 1
+            for arr in arrays:
+                assert not arr.flags.writeable
+                if arr.size:
+                    with pytest.raises(ValueError):
+                        arr[0] = 0
