@@ -29,7 +29,7 @@ from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.server import TuningServer
 from repro.loadgen import LoadGenerator, LoadgenConfig, SloPolicy, loadgen_space
 
-from test_server_throughput import _update_bench_json
+from bench_record import update_bench_json
 
 #: the session ramp; the middle point is the anchor both wires measure
 SESSION_RAMP = (64, 256, 1024)
@@ -107,7 +107,7 @@ def test_capacity_sweep_records_bench_json():
         "json_anchor": json_anchor,
         "binary_anchor": anchor,
     }
-    _update_bench_json("capacity", payload)
+    update_bench_json("capacity", payload)
 
     # every ramp point must complete its full workload: admission sheds
     # are retried, not lost, so nothing falls off the ledger

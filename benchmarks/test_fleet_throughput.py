@@ -36,7 +36,7 @@ import pytest
 
 from repro.fleet.launch import FleetSupervisor, bench_space
 from repro.loadgen import session_weights
-from test_server_throughput import _update_bench_json
+from bench_record import provenance, update_bench_json
 
 SHARD_COUNTS = (1, 2, 4)
 N_CLIENTS = 4
@@ -72,7 +72,6 @@ def _run_arm(n_shards: int, base_dir: Path, rounds: int) -> dict:
         n_shards,
         base_dir=base_dir,
         wal=False,
-        transport="threaded",
         wire="binary",
         lease_s=30.0,
         service_delay_us=SERVICE_DELAY_US,
@@ -159,7 +158,7 @@ def test_smoke_fleet_throughput(scale, tmp_path):
         f"({arms['1']['rps']:.0f} -> {arms['4']['rps']:.0f} req/s)"
     )
 
-    _update_bench_json(
+    update_bench_json(
         "fleet",
         {
             "batch_width": BATCH_WIDTH,
@@ -168,7 +167,9 @@ def test_smoke_fleet_throughput(scale, tmp_path):
             "speedup_2": round(speedup_2, 3),
             "speedup_4": round(speedup_4, 3),
             **arms,
+            "provenance": provenance(),
         },
+        merge=True,
     )
 
 
@@ -222,7 +223,6 @@ def _skew_arm(base_dir: Path, total_rounds: int, *, rebalance: bool) -> dict:
         SKEW_SHARDS,
         base_dir=base_dir,
         wal=False,
-        transport="threaded",
         wire="binary",
         lease_s=1.0,
         service_delay_us=SERVICE_DELAY_US,
@@ -313,12 +313,14 @@ def test_smoke_fleet_skew_rebalance(scale, tmp_path):
         f"({off['makespan_s']:.2f}s -> {on['makespan_s']:.2f}s)"
     )
 
-    _update_bench_json(
+    update_bench_json(
         "fleet",
         {
             "skew_s": SKEW_S,
             "skew_speedup": round(skew_speedup, 3),
             "skew_off": off,
             "skew_on": on,
+            "provenance": provenance(),
         },
+        merge=True,
     )

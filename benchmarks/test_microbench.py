@@ -13,13 +13,8 @@ successive PRs can be compared without scraping test output.
 """
 
 import gc
-import json
-import os
-import platform
-import subprocess
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +30,7 @@ from repro.harmony.session import TuningSession
 from repro.space import IntParameter, ParameterSpace
 from repro.variability.models import ParetoNoise
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_runner.json"
+from bench_record import provenance, update_bench_json
 
 
 @pytest.fixture(scope="module")
@@ -207,21 +202,6 @@ class _PerEventPoisson(WorkloadSource):
             yield t, self.service.sample(gen)
 
 
-def _update_bench_json(section: str, payload: dict, *, merge: bool = False) -> None:
-    """Read-modify-write one section so the smoke tests compose in any order.
-
-    ``merge=True`` updates only *payload*'s keys, for arms that share a
-    section with another test."""
-    data = {}
-    if BENCH_JSON.exists():
-        data = json.loads(BENCH_JSON.read_text())
-    data["schema"] = 1
-    data["cpu_count"] = os.cpu_count()
-    data[section] = {**data.get(section, {}), **payload} if merge else payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"\n[bench_smoke] {section} -> {BENCH_JSON}")
-
-
 def _best_of(n: int, fn):
     best = float("inf")
     value = None
@@ -265,7 +245,7 @@ def test_smoke_sweep_executors():
         f"process sweep ({jobs} workers) must beat serial on the "
         f"latency-modeled workload, got {speedup:.2f}x"
     )
-    _update_bench_json(
+    update_bench_json(
         "sweep",
         {
             "cells": len(cells),
@@ -303,7 +283,7 @@ def test_smoke_sweep_executors_cpu():
     )
     identical = parallel.to_dict() == serial.to_dict()
     assert identical, "process sweep diverged from serial"
-    _update_bench_json(
+    update_bench_json(
         "sweep_cpu",
         {
             "cells": len(cells),
@@ -347,7 +327,7 @@ def test_smoke_cluster_event_generation():
         3, lambda: run(_PerEventPoisson, "scalar")
     )
     assert vector_total > 0 and scalar_total > 0
-    _update_bench_json(
+    update_bench_json(
         "cluster_step",
         {
             "nodes": nodes,
@@ -418,7 +398,7 @@ def test_smoke_tracing_overhead(tmp_path):
         f"tracing must cost < 2% on the latency-modeled workload, "
         f"got {overhead:.2%} ({plain_s:.4f}s -> {traced_s:.4f}s)"
     )
-    _update_bench_json(
+    update_bench_json(
         "obs",
         {
             "cells": len(cells),
@@ -542,7 +522,7 @@ def test_smoke_session_batched():
         f"batched session fast path must be >= 1.5x the scalar path, "
         f"got {speedup:.2f}x"
     )
-    _update_bench_json(
+    update_bench_json(
         "session_db",
         {
             "dimension": _DB_DIM,
@@ -554,33 +534,10 @@ def test_smoke_session_batched():
             "scalar_s": round(scalar_s, 4),
             "speedup": round(speedup, 3),
             "results_identical": identical,
-            "provenance": _provenance(),
+            "provenance": provenance(),
         },
         merge=True,
     )
-
-
-def _provenance() -> dict:
-    """Where a measurement came from: commit, core count, Python version."""
-
-    def git(*args: str) -> str | None:
-        try:
-            out = subprocess.run(
-                ["git", *args], cwd=BENCH_JSON.parent, capture_output=True,
-                text=True, timeout=10, check=True,
-            )
-        except (OSError, subprocess.SubprocessError):
-            return None
-        return out.stdout.strip()
-
-    status = git("status", "--porcelain", "--untracked-files=no")
-    return {
-        "commit": git("rev-parse", "--short", "HEAD"),
-        "dirty": None if status is None else bool(status),
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "fresh": True,
-    }
 
 
 def _gs2_session(db, space, seed, batched) -> TuningSession:
@@ -636,7 +593,7 @@ def test_smoke_session_converged_tail(gs2, gs2_db):
         f"converged-tail fast path must be >= 1.5x the scalar path, "
         f"got {speedup:.2f}x"
     )
-    _update_bench_json(
+    update_bench_json(
         "session_db",
         {
             "converged_tail": {
@@ -650,7 +607,7 @@ def test_smoke_session_converged_tail(gs2, gs2_db):
                 "speedup": round(speedup, 3),
                 "results_identical": identical,
             },
-            "provenance": _provenance(),
+            "provenance": provenance(),
         },
         merge=True,
     )
@@ -730,4 +687,4 @@ def test_smoke_wire_codec():
         "binary codec must beat JSON at width 256, got "
         f"{section['speedup_256']}x"
     )
-    _update_bench_json("wire", section)
+    update_bench_json("wire", section)

@@ -36,7 +36,7 @@ from repro.core.sampling import MinEstimator, SamplingPlan
 from repro.harmony.server import TuningServer
 from repro.search.random_search import RandomSearch
 from repro.space import IntParameter, ParameterSpace
-from test_server_throughput import _update_bench_json
+from bench_record import provenance, update_bench_json
 
 #: samples per candidate — a deep-sampling plan (the paper's large-K arm)
 K = 32
@@ -112,7 +112,7 @@ def test_smoke_report_replay_speedup(scale):
         f"replay, got {speedup:.2f}x "
         f"({t_scalar * 1e3:.1f} ms -> {t_vector * 1e3:.1f} ms)"
     )
-    _update_bench_json(
+    update_bench_json(
         "server",
         {
             "report_replay": {
@@ -123,5 +123,7 @@ def test_smoke_report_replay_speedup(scale):
                 "vector_ms": round(t_vector * 1e3, 2),
             },
             "report_replay_speedup": round(speedup, 3),
+            "provenance": provenance(),
         },
+        merge=True,
     )

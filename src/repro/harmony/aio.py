@@ -1,10 +1,12 @@
-"""The asyncio serving transport: one event loop instead of a thread per connection.
+"""The TCP serving transport: one asyncio event loop for every connection.
 
-:class:`AsyncTcpServerTransport` speaks exactly the same JSON-lines wire
-protocol as :class:`~repro.harmony.transport.TcpServerTransport` (batch
-frames, ``seq`` echo, frame cap — all via :mod:`repro.harmony.protocol`),
-so the two are interchangeable behind any client.  The differences are all
-about throughput under many connections:
+:class:`AsyncTcpServerTransport` hosts a :class:`TuningServer` (or anything
+with its ``handle`` surface, such as the fleet coordinator) on one port.
+It speaks the JSON-lines wire protocol (batch frames, ``seq`` echo, frame
+cap — all via :mod:`repro.harmony.protocol`) and sniffs the binary frames
+of :mod:`repro.harmony.binproto` per frame.  Every role runs behind it:
+``repro serve``, the fleet's shard processes, and the coordinator that
+:class:`~repro.fleet.launch.FleetSupervisor` hosts.
 
 * **no per-connection thread** — each connection is a coroutine on one
   event loop, so 32 clients cost 32 small tasks, not 32 OS threads
@@ -17,10 +19,14 @@ about throughput under many connections:
   connections ``drain_timeout`` seconds to finish in-flight requests and
   disconnect, and only then cancels the stragglers.
 
+The per-chunk stages (:func:`prepare_items`, :func:`plan_admission`,
+:func:`respond_prepared`, :func:`finish_admission`) are looked up as
+attributes of this module at call time, so a tracer can wrap them here.
+
 The event loop runs on a dedicated daemon thread so the transport exposes
-the same synchronous ``start()``/``stop()``/context-manager surface as the
-threaded server, and so one process can host it next to ordinary blocking
-code (the CLI, tests, benchmarks).
+a synchronous ``start()``/``stop()``/context-manager surface, and so one
+process can host it next to ordinary blocking code (the CLI, tests,
+benchmarks).
 """
 
 from __future__ import annotations
@@ -217,9 +223,8 @@ class AsyncTcpServerTransport:
                     # responses are built, so the budget measures the
                     # queue: waiting for a worker, dispatch, modeled service
                     # time, and WAL commit.  They are returned before the
-                    # reply is written (as in the threaded transport), so a
-                    # client that has read its reply never sees them
-                    # pending.
+                    # reply is written, so a client that has read its reply
+                    # never sees them pending.
                     prepared = prepare_items(items, self.max_line_bytes)
                     flags, grants = plan_admission(self.server, prepared)
                     try:

@@ -1,21 +1,23 @@
-"""Transports carrying protocol messages between clients and the server.
+"""Client transports, and the serving stages the TCP server runs per chunk.
 
-Several implementations behind one interface:
+Client side, several implementations behind one interface:
 
 * :class:`InProcessTransport` — direct method calls (zero overhead; used by
   the simulation experiments and most tests);
-* :class:`TcpServerTransport` / :class:`TcpClientTransport` — the JSON-lines
-  protocol (see :mod:`repro.harmony.protocol`) over a TCP socket with one
-  serving thread per connection;
+* :class:`TcpClientTransport` — the JSON-lines protocol (see
+  :mod:`repro.harmony.protocol`) over a TCP socket, one lock-step round
+  trip at a time;
 * :class:`PipelinedTcpClientTransport` — same wire format, but keeps many
   sequence-numbered requests in flight over one socket, so P logical
-  requesters no longer pay P sequential round trips;
-* :class:`repro.harmony.aio.AsyncTcpServerTransport` — the asyncio server
-  (single event loop, no thread per connection), the throughput-oriented
-  sibling of :class:`TcpServerTransport`.
+  requesters no longer pay P sequential round trips.
+
+Server side, :func:`prepare_items` → :func:`plan_admission` →
+:func:`respond_prepared` → :func:`finish_admission` turn one recv chunk's
+frames into response bytes; :class:`repro.harmony.aio.AsyncTcpServerTransport`
+is the one TCP server that runs them.
 
 All TCP endpoints set ``TCP_NODELAY`` — Nagle's algorithm only adds latency
-to a 1-line request/response protocol — and every server rejects frames
+to a 1-line request/response protocol — and the server rejects frames
 longer than :data:`repro.harmony.protocol.MAX_LINE_BYTES` instead of
 buffering them unboundedly.
 """
@@ -38,7 +40,6 @@ from repro.harmony.server import TuningServer
 __all__ = [
     "Transport",
     "InProcessTransport",
-    "TcpServerTransport",
     "TcpClientTransport",
     "PipelinedTcpClientTransport",
     "n_wire_chunks",
@@ -115,8 +116,8 @@ def plan_admission(
     :func:`finish_admission` once the responses have been built.  The
     admitted units stay charged from this call until then — that window
     (dispatch, modeled service time, WAL commit) *is* the pending work the
-    budget bounds.  Both transports return them before writing the reply,
-    so a client that has read its reply never sees its units pending.
+    budget bounds.  The server returns them before writing the reply, so
+    a client that has read its reply never sees its units pending.
     """
     admission = getattr(server, "admission", None)
     if admission is None:
@@ -234,11 +235,11 @@ def respond_frames(
 ) -> tuple[bytes, bool]:
     """Turn one :class:`binproto.FrameSplitter` batch into response bytes.
 
-    Shared by the threaded and asyncio servers so their mixed JSON/binary
-    handling cannot drift: :func:`prepare_items` → :func:`plan_admission`
-    → :func:`respond_prepared`, with the admitted units held until the
-    responses are built (the asyncio transport spreads the same stages
-    around its executor hop).  Returns ``(payload, closing)``.
+    The inline path: :func:`prepare_items` → :func:`plan_admission` →
+    :func:`respond_prepared`, with the admitted units held until the
+    responses are built.  The asyncio transport runs it when the server
+    has no admission controller, and spreads the same stages around its
+    executor hop when it has one.  Returns ``(payload, closing)``.
     """
     prepared = prepare_items(items, max_line_bytes)
     flags, grants = plan_admission(server, prepared)
@@ -296,149 +297,6 @@ class InProcessTransport(Transport):
         if not response.get("ok", False):
             return [response for _ in messages]
         return response["results"]
-
-
-class TcpServerTransport:
-    """Hosts a :class:`TuningServer` on a TCP socket, one thread per connection.
-
-    Wire format: one JSON object per line, UTF-8 (batch frames included —
-    see :mod:`repro.harmony.protocol`).  Start with :meth:`start`, stop with
-    :meth:`stop`; the bound port is available as :attr:`port` (pass
-    ``port=0`` to let the OS pick a free one).  ``stop()`` drains: it stops
-    accepting, joins every live connection thread (each notices shutdown
-    within its socket timeout), and only then force-closes stragglers.
-    """
-
-    #: how long a connection's recv blocks before re-checking the running flag
-    _POLL_S = 0.2
-
-    def __init__(
-        self,
-        server: TuningServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        max_line_bytes: int = protocol.MAX_LINE_BYTES,
-        wire: str = "binary",
-    ) -> None:
-        if wire not in ("binary", "json"):
-            raise ValueError(f"wire must be 'binary' or 'json', got {wire!r}")
-        self.server = server
-        self.host = host
-        self._requested_port = port
-        self.port: int | None = None
-        self.max_line_bytes = max_line_bytes
-        #: "binary" accepts both framings (sniffed per frame); "json"
-        #: answers binary frames with an error instead of decoding them
-        self.wire = wire
-        self._sock: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._running = threading.Event()
-        self._conn_threads: list[threading.Thread] = []
-        self._conn_socks: set[socket.socket] = set()
-        self._conn_lock = threading.Lock()
-
-    def start(self) -> None:
-        if self._sock is not None:
-            raise RuntimeError("transport already started")
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.host, self._requested_port))
-        sock.listen(64)
-        sock.settimeout(self._POLL_S)
-        self._sock = sock
-        self.port = sock.getsockname()[1]
-        self._running.set()
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-
-    def _accept_loop(self) -> None:
-        assert self._sock is not None
-        while self._running.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                # Idle moment: prune threads whose connections have closed,
-                # so a long-lived server doesn't accumulate dead handles.
-                self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
-                continue
-            except OSError:
-                break
-            _set_nodelay(conn)
-            conn.settimeout(self._POLL_S)
-            with self._conn_lock:
-                self._conn_socks.add(conn)
-            t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
-            t.start()
-            self._conn_threads = [x for x in self._conn_threads if x.is_alive()]
-            self._conn_threads.append(t)
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        try:
-            with conn:
-                splitter = binproto.FrameSplitter(self.max_line_bytes)
-                while self._running.is_set():
-                    try:
-                        chunk = conn.recv(65536)
-                    except socket.timeout:
-                        continue
-                    except OSError:
-                        break
-                    if not chunk:
-                        break
-                    items = splitter.feed(chunk)
-                    if not items:
-                        continue
-                    payload, closing = respond_frames(
-                        self.server, items, self.wire, self.max_line_bytes
-                    )
-                    if payload:
-                        try:
-                            conn.sendall(payload)
-                        except OSError:
-                            return
-                    if closing:
-                        return
-        finally:
-            with self._conn_lock:
-                self._conn_socks.discard(conn)
-
-    def stop(self) -> None:
-        self._running.clear()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-            self._accept_thread = None
-        # Drain: each connection thread notices the cleared flag within one
-        # socket-timeout poll and exits after finishing its current request.
-        for t in self._conn_threads:
-            t.join(timeout=2 * self._POLL_S + 2.0)
-        with self._conn_lock:
-            stragglers = list(self._conn_socks)
-            self._conn_socks.clear()
-        for conn in stragglers:  # pragma: no cover - only hit on hung clients
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
-        # Durability epilogue: anything appended but not yet group-committed
-        # (e.g. a request whose connection died before its response) is
-        # flushed before the transport reports itself stopped.
-        flush = getattr(self.server, "flush_wal", None)
-        if flush is not None:
-            flush()
-
-    def __enter__(self) -> "TcpServerTransport":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
 
 
 def n_wire_chunks(n: int) -> int:
@@ -640,6 +498,9 @@ class PipelinedTcpClientTransport(_BinaryWireOps, Transport):
         self._write_lock = threading.Lock()
         self._inflight = threading.BoundedSemaphore(max_inflight)
         self._closed = False
+        #: the reader's terminal error, set (under ``_pending_lock``) once it
+        #: has exited; no response can arrive after that
+        self._dead: Exception | None = None
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
@@ -673,47 +534,45 @@ class PipelinedTcpClientTransport(_BinaryWireOps, Transport):
         except (OSError, ValueError) as exc:
             error = exc if not self._closed else ConnectionError("transport closed")
         with self._pending_lock:
+            self._dead = error if error is not None else ConnectionError(
+                "reader stopped"
+            )
             pending, self._pending = self._pending, {}
         for future in pending.values():
             self._inflight.release()
-            future.set_exception(
-                error if error is not None else ConnectionError("reader stopped")
-            )
+            future.set_exception(self._dead)
 
     # -- writer side --------------------------------------------------------------
 
     def submit(self, message: Mapping[str, Any]) -> "Future[dict[str, Any]]":
         """Send *message* now; the returned future resolves to its response."""
-        if self._closed:
-            raise ConnectionError("transport closed")
-        seq = next(self._seq)
-        tagged = dict(message)
-        tagged["seq"] = seq
-        future: Future = Future()
-        self._inflight.acquire()
-        with self._pending_lock:
-            self._pending[seq] = future
-        try:
-            payload = protocol.encode_line(tagged)
-            with self._write_lock:
-                self._sock.sendall(payload)
-        except OSError as exc:
-            with self._pending_lock:
-                removed = self._pending.pop(seq, None)
-            if removed is not None:
-                self._inflight.release()
-            raise ConnectionError(f"send failed: {exc}") from exc
-        return future
 
-    def submit_frame(self, build: Any) -> "Future[tuple]":
-        """Send one binary frame built by ``build(seq)``; returns its future."""
+        def build(seq: int) -> bytes:
+            tagged = dict(message)
+            tagged["seq"] = seq
+            return protocol.encode_line(tagged)
+
+        return self.submit_frame(build)
+
+    def submit_frame(self, build: Any) -> "Future":
+        """Send the frame ``build(seq)`` returns; the future resolves to its
+        response (a dict for a JSON line, a decoded tuple for a binary frame).
+
+        Raises :class:`ConnectionError` at once when the transport is closed
+        or its reader has exited — no response could ever resolve the future.
+        """
         if self._closed:
             raise ConnectionError("transport closed")
         seq = next(self._seq)
         future: Future = Future()
         self._inflight.acquire()
         with self._pending_lock:
-            self._pending[seq] = future
+            dead = self._dead
+            if dead is None:
+                self._pending[seq] = future
+        if dead is not None:
+            self._inflight.release()
+            raise ConnectionError(f"connection lost: {dead}") from dead
         try:
             frame = build(seq)
             with self._write_lock:

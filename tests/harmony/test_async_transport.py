@@ -8,13 +8,15 @@ import pytest
 
 from repro.core.pro import ParallelRankOrdering
 from repro.core.sampling import SamplingPlan
+from repro.harmony import aio
+from repro.harmony.admission import AdmissionController
 from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
 from repro.harmony.transport import (
+    InProcessTransport,
     PipelinedTcpClientTransport,
     TcpClientTransport,
-    TcpServerTransport,
 )
 from repro.obs import Tracer, canonical_events
 from repro.space import IntParameter, ParameterSpace
@@ -134,41 +136,47 @@ class TestAsyncHardening:
         assert server.n_reports == 1
 
 
-def drive_deterministic(transport_cls, tracer):
-    """One seeded single-client run behind the given server transport."""
+def drive_deterministic(tracer, *, tcp):
+    """One seeded single-client run, over async TCP or in-process."""
     server = make_server(tracer=tracer)
-    with transport_cls(server, port=0) as tcp:
-        with TcpClientTransport("127.0.0.1", tcp.port) as transport:
-            client = TuningClient(transport)
-            client.register(make_space())
-            for step in range(200):
-                config = client.fetch()
-                client.report(objective(config), step=step)
-            best = client.best()
-    return server, best
+
+    def run(transport):
+        client = TuningClient(transport)
+        client.register(make_space())
+        for step in range(200):
+            config = client.fetch()
+            client.report(objective(config), step=step)
+        return client.best()
+
+    if not tcp:
+        return server, run(InProcessTransport(server))
+    with AsyncTcpServerTransport(server, port=0) as srv:
+        with TcpClientTransport("127.0.0.1", srv.port) as transport:
+            return server, run(transport)
 
 
 class TestTransportEquivalence:
-    def test_async_and_threaded_produce_identical_sessions(self):
-        """Paired seeding: both transports must drive the tuner identically.
+    def test_async_matches_in_process(self):
+        """Paired seeding: serving over TCP must drive the tuner exactly as
+        direct in-process calls do.
 
         Reuses the golden-trace harness (`canonical_events` with volatile
         fields stripped) to compare the servers' request streams event by
         event, on top of the end-state assertions.
         """
         tracer_a = Tracer(label="server")
-        tracer_t = Tracer(label="server")
-        server_a, best_a = drive_deterministic(AsyncTcpServerTransport, tracer_a)
-        server_t, best_t = drive_deterministic(TcpServerTransport, tracer_t)
+        tracer_r = Tracer(label="server")
+        server_a, best_a = drive_deterministic(tracer_a, tcp=True)
+        server_r, best_r = drive_deterministic(tracer_r, tcp=False)
 
-        assert list(best_a[0]) == list(best_t[0])
-        assert best_a[1] == best_t[1]
-        assert server_a.n_reports == server_t.n_reports
-        assert server_a.step_times().tolist() == server_t.step_times().tolist()
+        assert list(best_a[0]) == list(best_r[0])
+        assert best_a[1] == best_r[1]
+        assert server_a.n_reports == server_r.n_reports
+        assert server_a.step_times().tolist() == server_r.step_times().tolist()
 
         events_a = canonical_events(tracer_a.drain(), strip=True)
-        events_t = canonical_events(tracer_t.drain(), strip=True)
-        assert events_a == events_t
+        events_r = canonical_events(tracer_r.drain(), strip=True)
+        assert events_a == events_r
         assert any(e["kind"] == "server.request" for e in events_a)
 
     def test_batched_path_matches_single_path(self):
@@ -194,3 +202,32 @@ class TestTransportEquivalence:
         best_b, best_s = run(True), run(False)
         assert list(best_b[0]) == list(best_s[0])
         assert best_b[1] == best_s[1]
+
+
+class TestStageSeam:
+    def test_admission_path_calls_stages_through_module(self, monkeypatch):
+        """The admission path looks its stages up on ``repro.harmony.aio``
+        at call time — the seam request tracing wraps."""
+        calls = []
+
+        def spy(name):
+            real = getattr(aio, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(aio, name, wrapped)
+
+        stages = [
+            "prepare_items", "plan_admission", "respond_prepared",
+            "finish_admission",
+        ]
+        for name in stages:
+            spy(name)
+        server = make_server()
+        server.admission = AdmissionController(8)
+        with AsyncTcpServerTransport(server, port=0) as tcp:
+            with TcpClientTransport("127.0.0.1", tcp.port) as transport:
+                assert transport.request({"op": "status"})["ok"]
+        assert calls == stages

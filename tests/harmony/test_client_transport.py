@@ -1,18 +1,20 @@
 """Integration tests: client API over in-process and TCP transports."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.pro import ParallelRankOrdering
 from repro.core.sampling import SamplingPlan
+from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
 from repro.harmony.transport import (
     InProcessTransport,
+    PipelinedTcpClientTransport,
     TcpClientTransport,
-    TcpServerTransport,
 )
 from repro.space import IntParameter, ParameterSpace
 
@@ -85,7 +87,7 @@ class TestClientInProcess:
 class TestTcpTransport:
     def test_tcp_round_trip(self):
         server = make_server()
-        with TcpServerTransport(server, port=0) as tcp:
+        with AsyncTcpServerTransport(server, port=0) as tcp:
             assert tcp.port is not None
             with TcpClientTransport("127.0.0.1", tcp.port) as transport:
                 client = TuningClient(transport)
@@ -98,7 +100,7 @@ class TestTcpTransport:
 
     def test_multiple_tcp_clients(self):
         server = make_server()
-        with TcpServerTransport(server, port=0) as tcp:
+        with AsyncTcpServerTransport(server, port=0) as tcp:
             results = []
             errors = []
 
@@ -129,7 +131,7 @@ class TestTcpTransport:
         import socket
 
         server = make_server()
-        with TcpServerTransport(server, port=0) as tcp:
+        with AsyncTcpServerTransport(server, port=0) as tcp:
             with socket.create_connection(("127.0.0.1", tcp.port), timeout=5) as s:
                 s.sendall(b"this is not json\n")
                 fh = s.makefile("rb")
@@ -137,10 +139,41 @@ class TestTcpTransport:
                 assert not resp["ok"]
 
     def test_double_start_rejected(self):
-        tcp = TcpServerTransport(make_server(), port=0)
+        tcp = AsyncTcpServerTransport(make_server(), port=0)
         tcp.start()
         try:
             with pytest.raises(RuntimeError):
                 tcp.start()
         finally:
             tcp.stop()
+
+    def test_clients_fail_fast_after_server_stop(self):
+        """After the server closes the connection, the next request raises
+        ConnectionError at once on both clients, not after the timeout."""
+        tcp = AsyncTcpServerTransport(make_server(), port=0, drain_timeout=0.1)
+        tcp.start()
+        try:
+            pipelined = PipelinedTcpClientTransport(
+                "127.0.0.1", tcp.port, timeout=3.0
+            )
+            lockstep = TcpClientTransport("127.0.0.1", tcp.port, timeout=3.0)
+            assert pipelined.request({"op": "status"})["ok"]
+            assert lockstep.request({"op": "status"})["ok"]
+        finally:
+            tcp.stop()
+        try:
+            # The pipelined reader has seen the close and exited.
+            pipelined._reader.join(timeout=5.0)
+            assert not pipelined._reader.is_alive()
+            for call in (
+                lambda: lockstep.request({"op": "status"}),
+                lambda: pipelined.request({"op": "status"}),
+                lambda: pipelined.fetch_many_wire("default", 0, 4),
+            ):
+                t0 = time.monotonic()
+                with pytest.raises(ConnectionError):
+                    call()
+                assert time.monotonic() - t0 < 1.0
+        finally:
+            pipelined.close()
+            lockstep.close()

@@ -30,7 +30,6 @@ from repro.harmony.server import TuningServer
 from repro.harmony.transport import (
     PipelinedTcpClientTransport,
     TcpClientTransport,
-    TcpServerTransport,
 )
 from repro.obs import MetricsRegistry
 from repro.space import IntParameter, ParameterSpace
@@ -74,14 +73,12 @@ def measure_rtts(port, n, *, session=None):
 
 
 class TestOverloadBattery:
-    @pytest.mark.parametrize("transport_kind", ["threaded", "async"])
-    def test_graceful_degradation_and_recovery(self, transport_kind):
+    @pytest.mark.parametrize(
+        "transport_cls", [AsyncTcpServerTransport], ids=["async"]
+    )
+    def test_graceful_degradation_and_recovery(self, transport_cls):
         sessions = [f"ov-{i}" for i in range(N_WORKERS)]
         server = make_server(sessions=["probe", "post"] + sessions)
-        transport_cls = (
-            AsyncTcpServerTransport if transport_kind == "async"
-            else TcpServerTransport
-        )
         with transport_cls(server) as transport:
             port = transport.port
 
@@ -160,7 +157,7 @@ class TestBusyWire:
 
     def test_json_busy_envelope_carries_retry_after(self):
         server = self._saturated_server()
-        with TcpServerTransport(server) as transport:
+        with AsyncTcpServerTransport(server) as transport:
             with TcpClientTransport("127.0.0.1", transport.port) as t:
                 response = t.request({"op": "status", "seq": 41, "session": "s"})
         assert response["ok"] is False
@@ -171,7 +168,7 @@ class TestBusyWire:
 
     def test_client_raises_server_busy_once_retries_exhausted(self):
         server = self._saturated_server()
-        with TcpServerTransport(server) as transport:
+        with AsyncTcpServerTransport(server) as transport:
             with TcpClientTransport("127.0.0.1", transport.port) as t:
                 client = TuningClient(t, session="s", busy_retries=2,
                                       busy_backoff_cap=0.01)
@@ -182,7 +179,7 @@ class TestBusyWire:
 
     def test_binary_busy_frame_round_trips(self):
         server = make_server(service_delay_s=0.0, sessions=["s"])
-        with TcpServerTransport(server) as transport:
+        with AsyncTcpServerTransport(server) as transport:
             with PipelinedTcpClientTransport("127.0.0.1", transport.port) as t:
                 client = TuningClient(t, session="s", busy_retries=1000,
                                       busy_backoff_cap=0.01)
@@ -200,7 +197,7 @@ class TestBusyWire:
 
     def test_busy_client_recovers_when_budget_drains(self):
         server = self._saturated_server()
-        with TcpServerTransport(server) as transport:
+        with AsyncTcpServerTransport(server) as transport:
             with TcpClientTransport("127.0.0.1", transport.port) as t:
                 client = TuningClient(t, session="s", busy_retries=1000,
                                       busy_backoff_cap=0.01)

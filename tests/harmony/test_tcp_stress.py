@@ -1,4 +1,4 @@
-"""Concurrent multi-client stress and lifecycle tests for both TCP servers."""
+"""Concurrent multi-client stress and lifecycle tests for the TCP server."""
 
 import json
 import socket
@@ -12,10 +12,11 @@ from repro.core.sampling import MinEstimator, SamplingPlan
 from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
-from repro.harmony.transport import TcpClientTransport, TcpServerTransport
+from repro.harmony.transport import TcpClientTransport
 from repro.space import IntParameter, ParameterSpace
+from tests.helpers import wait_for
 
-TRANSPORTS = [TcpServerTransport, AsyncTcpServerTransport]
+TRANSPORTS = [AsyncTcpServerTransport]
 
 
 def make_space():
@@ -144,12 +145,12 @@ def test_malformed_then_valid_frames(transport_cls):
             assert json.loads(fh.readline())["ok"]
 
 
-class TestThreadedLifecycle:
-    def test_conn_threads_pruned_and_joined(self):
-        """The per-connection thread list shrinks as clients leave, and
-        stop() drains whatever is still alive instead of abandoning it."""
+class TestLifecycle:
+    def test_conn_tasks_pruned_and_drained(self):
+        """The per-connection task set shrinks as clients leave, and stop()
+        closes a client that is still connected instead of abandoning it."""
         server = make_server()
-        tcp = TcpServerTransport(server, port=0)
+        tcp = AsyncTcpServerTransport(server, port=0, drain_timeout=0.1)
         tcp.start()
         try:
             for _ in range(6):
@@ -161,15 +162,18 @@ class TestThreadedLifecycle:
             # A still-open client at stop() time:
             lingering = TcpClientTransport("127.0.0.1", tcp.port)
             assert TuningClient(lingering).status() is not None
+            # the six closed connections' tasks are gone
+            wait_for(lambda: len(tcp._conn_tasks) == 1, desc="task pruning")
         finally:
             tcp.stop()
-        assert not any(t.is_alive() for t in tcp._conn_threads)
-        assert not tcp._conn_socks
+        assert not tcp._conn_tasks
+        with pytest.raises(ConnectionError):
+            lingering.request({"op": "status"})
         lingering.close()
 
-    def test_mid_request_disconnect_threaded(self):
+    def test_mid_request_disconnect(self):
         server = make_server()
-        with TcpServerTransport(server, port=0) as tcp:
+        with AsyncTcpServerTransport(server, port=0) as tcp:
             s = socket.create_connection(("127.0.0.1", tcp.port), timeout=5)
             s.sendall(b'{"op": "fet')  # half a frame, then vanish
             s.close()
@@ -180,9 +184,9 @@ class TestThreadedLifecycle:
                 client.report(objective(config), step=0)
         assert server.n_reports == 1
 
-    def test_oversized_frame_rejected_threaded(self):
+    def test_oversized_frame_rejected(self):
         server = make_server()
-        with TcpServerTransport(server, port=0, max_line_bytes=4096) as tcp:
+        with AsyncTcpServerTransport(server, port=0, max_line_bytes=4096) as tcp:
             with socket.create_connection(("127.0.0.1", tcp.port), timeout=5) as s:
                 s.sendall(b"y" * 10000 + b"\n")
                 fh = s.makefile("rb")
@@ -197,7 +201,7 @@ class TestThreadedLifecycle:
     def test_oversized_unterminated_frame_rejected(self):
         """A frame that never ends hits the cap without a newline."""
         server = make_server()
-        with TcpServerTransport(server, port=0, max_line_bytes=2048) as tcp:
+        with AsyncTcpServerTransport(server, port=0, max_line_bytes=2048) as tcp:
             with socket.create_connection(("127.0.0.1", tcp.port), timeout=5) as s:
                 s.sendall(b"z" * 5000)  # no newline at all
                 resp = json.loads(s.makefile("rb").readline())

@@ -16,7 +16,8 @@ from repro.core.sampling import SamplingPlan
 from repro.faults import FaultPlan, dropping_factory
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
-from repro.harmony.transport import InProcessTransport, TcpServerTransport
+from repro.harmony.aio import AsyncTcpServerTransport
+from repro.harmony.transport import InProcessTransport, TcpClientTransport
 from repro.harmony.wal import (
     WalError,
     WalWriter,
@@ -327,9 +328,7 @@ class TestAckImpliesDurable:
         """Regression for the group-commit placement: by the time a client
         holds an ACK, the report must already be replayable from disk."""
         server = durable_server(tmp_path, sync="batch")
-        with TcpServerTransport(server, port=0) as transport:
-            from repro.harmony.transport import TcpClientTransport
-
+        with AsyncTcpServerTransport(server, port=0) as transport:
             with TcpClientTransport("127.0.0.1", transport.port) as conn:
                 client = TuningClient(conn, nonce="c0")
                 client.register(make_space())
@@ -344,17 +343,19 @@ class TestAckImpliesDurable:
         server.close_wal()
 
     def test_transport_stop_flushes_pending_appends(self, tmp_path):
+        """stop() flushes even when it has to cut a client that never leaves."""
         server = durable_server(tmp_path, sync="off")
-        with TcpServerTransport(server, port=0):
+        transport = AsyncTcpServerTransport(server, port=0, drain_timeout=0.1)
+        with transport, TcpClientTransport("127.0.0.1", transport.port) as conn:
+            assert conn.request({"op": "status"})["ok"]
             # an append that never went through a request's group commit
             server.wal_append({"t": "op", "m": {"op": "requeue",
                                                 "session": "default"}})
-        _, ops, _ = replay_dir(tmp_path)
+            transport.stop()
+            _, ops, _ = replay_dir(tmp_path)
         assert {"t": "op", "m": {"op": "requeue", "session": "default"}} in ops
 
     def test_async_stop_flushes_pending_appends(self, tmp_path):
-        from repro.harmony.aio import AsyncTcpServerTransport
-
         server = durable_server(tmp_path, sync="off")
         with AsyncTcpServerTransport(server, port=0):
             server.wal_append({"t": "op", "m": {"op": "requeue",

@@ -98,10 +98,12 @@ class TestServe:
         assert args.port == 7077
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--transport", "carrier-pigeon"])
+        # "threaded" names no server: asyncio is the only one
+        for transport in ("carrier-pigeon", "threaded"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", "--transport", transport])
 
-    @pytest.mark.parametrize("transport", ["async", "threaded"])
+    @pytest.mark.parametrize("transport", ["async"])
     def test_serve_round_trip(self, transport, tmp_path):
         """Host for a bounded duration; a real client tunes against it."""
         import threading
@@ -176,7 +178,6 @@ class TestFleet:
         assert args.shards == 2
         assert args.sessions is None
         assert args.wire == "binary"
-        assert args.transport == "threaded"
         assert args.lease_s == 2.0
         assert not args.no_wal
         assert args.kill_shard is None
@@ -185,6 +186,11 @@ class TestFleet:
     def test_unknown_wire_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet", "--wire", "morse"])
+
+    def test_transport_flag_removed(self):
+        for transport in ("async", "threaded"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fleet", "--transport", transport])
 
     def test_single_shard_sweep_with_baseline_check(self, tmp_path, capsys):
         """End-to-end CLI run: 1 shard, 1 session, bit-identity verified."""
